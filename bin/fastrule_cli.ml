@@ -789,12 +789,16 @@ let conform_cmd =
               exit (if Oracle.failover_clean r then 0 else 1)
             end
             else if info.Bundle.mode = "degraded" then begin
-              (* the stuck bank re-derives from the trace seed, so the
-                 default dead fraction reproduces the captured run *)
+              (* the stuck bank re-derives from the trace seed and the
+                 recorded dead fraction, so the replay faces the same holes *)
+              let dead_frac = info.Bundle.dead_frac in
+              if dead_frac <= 0.0 || dead_frac >= 1.0 then
+                bad "bundle dead_frac must be in (0, 1) (got %g)" dead_frac;
               let r =
                 Oracle.run_degraded ~probes ~batch:info.Bundle.batch
                   ~shards:(max 2 info.Bundle.shards)
-                  ~fault_shard:info.Bundle.fault_shard ?domains ?capture trace
+                  ~fault_shard:info.Bundle.fault_shard ~dead_frac ?domains
+                  ?capture trace
               in
               Oracle.pp_degraded_report Format.std_formatter r;
               exit (if Oracle.degraded_clean r then 0 else 1)
@@ -1058,19 +1062,20 @@ let conform_cmd =
       value
       & opt (some int) None
       & info [ "domains" ] ~docv:"N"
-          ~doc:"Run the crash/failover services with N flush executors — \
-                with N > 1 a clean oracle is the proof that the parallel \
-                drain path is observationally equivalent to the sequential \
-                one (default: FASTRULE_DOMAINS or 1).")
+          ~doc:"Run the crash/failover/degraded services with N flush \
+                executors — with N > 1 a clean oracle is the proof that the \
+                parallel drain path is observationally equivalent to the \
+                sequential one (default: FASTRULE_DOMAINS or 1).")
   in
   let capture_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "capture" ] ~docv:"DIR"
-          ~doc:"On divergence in crash or failover mode, write a replayable \
-                bundle (trace + parameters + journal copy) under DIR; \
-                replay it with --replay DIR/<bundle>.")
+          ~doc:"On divergence in crash, failover or degraded mode, write a \
+                replayable bundle (trace + parameters, plus a journal copy \
+                in crash mode) under DIR; replay it with --replay \
+                DIR/<bundle>.")
   in
   Cmd.v
     (Cmd.info "conform"

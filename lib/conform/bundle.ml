@@ -8,6 +8,7 @@ type info = {
   shards : int;
   fault_shard : int;
   slow_ms : float;
+  dead_frac : float;
 }
 
 let meta_name = "bundle.meta"
@@ -27,6 +28,12 @@ let journal_dir dir =
 
 let trace_file dir = Filename.concat dir trace_name
 
+(* %g when it reads back to the same float, all digits otherwise — a
+   replay must run the exact parameter the capture ran. *)
+let float_field f =
+  let s = Printf.sprintf "%g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 let copy_file src dst =
   let data = In_channel.with_open_bin src In_channel.input_all in
   Out_channel.with_open_bin dst (fun oc -> Out_channel.output_string oc data)
@@ -42,6 +49,7 @@ let info_to_string i =
       "shards " ^ string_of_int i.shards;
       "fault_shard " ^ string_of_int i.fault_shard;
       Printf.sprintf "slow_ms %g" i.slow_ms;
+      "dead_frac " ^ float_field i.dead_frac;
       "";
     ]
 
@@ -75,7 +83,9 @@ let info_of_string s =
       let* shards = get "shards" int_of_string_opt 1 in
       let* fault_shard = get "fault_shard" int_of_string_opt 0 in
       let* slow_ms = get "slow_ms" float_of_string_opt 0.0 in
-      Ok { mode; at; mid_drain; batch; shards; fault_shard; slow_ms }
+      (* bundles written before the field existed ran the default bank *)
+      let* dead_frac = get "dead_frac" float_of_string_opt 0.10 in
+      Ok { mode; at; mid_drain; batch; shards; fault_shard; slow_ms; dead_frac }
   | _ -> Error "bundle: missing fastrule-bundle header"
 
 let write ~dir info ~trace ~journal =
@@ -113,10 +123,14 @@ let load dir =
     Ok (info, trace)
 
 let pp_info ppf i =
-  Format.fprintf ppf "%s bundle: at %d%s, batch %d, %d shard%s%s%s" i.mode i.at
+  Format.fprintf ppf "%s bundle: at %d%s, batch %d, %d shard%s%s%s%s" i.mode
+    i.at
     (if i.mid_drain then " (mid-drain)" else "")
     i.batch i.shards
     (if i.shards = 1 then "" else "s")
     (if i.mode = "failover" then Printf.sprintf ", fault shard %d" i.fault_shard
      else "")
     (if i.slow_ms > 0.0 then Printf.sprintf ", slow %g ms/op" i.slow_ms else "")
+    (if i.mode = "degraded" then
+       Printf.sprintf ", %g%% dead" (100.0 *. i.dead_frac)
+     else "")

@@ -11,13 +11,16 @@
     on a bundle re-runs the recorded mode bit-for-bit. *)
 
 type info = {
-  mode : string;  (** ["crash"] or ["failover"] *)
+  mode : string;  (** ["crash"], ["failover"] or ["degraded"] *)
   at : int;  (** crash point (events run before the simulated crash) *)
   mid_drain : bool;  (** begin markers on disk, no commit *)
   batch : int;  (** events per flush window *)
   shards : int;
   fault_shard : int;  (** shard under the persistent fault (failover) *)
   slow_ms : float;  (** latency-fault cost per hardware op (failover) *)
+  dead_frac : float;
+      (** stuck-bank fraction of the sick shard (degraded); a [bundle.meta]
+          without the field loads as [0.10], the oracle's default *)
 }
 
 val write :

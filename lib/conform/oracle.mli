@@ -18,7 +18,10 @@
     - {b store agreement} — agents whose accept histories are identical
       must hold identical [(id, action)] stores;
     - {b determinism} — when the trace embeds recordings, each scheduler's
-      fresh emissions must reproduce them op for op.
+      fresh emissions must reproduce them op for op;
+    - {b no silent rule loss} — across an event the installed id set gains
+      only an [Add]'s id and loses only a [Remove]'s (the service modes
+      below hold the same law at every flush, over the queued drain plan).
 
     Schedulers are allowed to {e disagree on acceptance} (a capacity
     rejection on one layout is not a bug on another — the "skip on
@@ -97,11 +100,9 @@ val run : ?config:config -> Trace.t -> report
     Deterministic: equal traces and configs yield equal reports (up to
     the wall-clock fields).
 
-    Besides the classic checks (dependency invariant after every event,
-    TCAM-vs-linear lookup equivalence, store agreement by accept history,
-    emission determinism), the oracle captures {e every} snapshot image an
-    agent publishes while a flow-mod cascades ({!Fr_switch.Agent.set_publish_observer})
-    and holds each to the pre-or-post law: over the event's probe packets,
+    Besides the checks listed above, the oracle captures {e every} snapshot
+    image an agent publishes while a flow-mod cascades
+    ({!Fr_switch.Agent.set_publish_observer}) and holds each to the pre-or-post law: over the event's probe packets,
     the image's answer vector must equal the semantic table's before the
     flow-mod or after it — never a mix of the two, never a third state.
     (The one sanctioned exception: a [Set_action] on a dead row relocates

@@ -88,6 +88,10 @@ echo "== degraded conformance (every scheduler, domains 1 and 4, strict) =="
 "$CLI" conform -k acl4 -n 90 --pool 150 -c 60 -e 300 --seed 31 \
   --degraded 0.10 --strict --domains 4 >/dev/null
 
+echo "== degraded property sweep (QCHECK_LONG=1: about 6,000 random banks) =="
+QCHECK_LONG=1 QCHECK_SEED="${QCHECK_SEED:-20180702}" \
+  ./_build/default/test/main.exe test degraded >/dev/null
+
 echo "== net chaos certification (random switch faults, domains 1 = 4 fingerprint) =="
 C1=$(mktemp); C4=$(mktemp)
 "$CLI" net --chaos --cases 25 --seed 2026 --json "$C1" >/dev/null

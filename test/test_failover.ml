@@ -378,6 +378,7 @@ let test_bundle_roundtrip () =
           shards = 1;
           fault_shard = 0;
           slow_ms = 0.0;
+          dead_frac = 0.09;
         }
       in
       let bdir =
