@@ -36,6 +36,22 @@ let file_arg =
     & info [ "f"; "file" ] ~docv:"PATH"
         ~doc:"Operate on a saved rule table instead of generating one.")
 
+(* Reject a bad argument: print it and exit [code] (2; [ctrl] uses 1). *)
+let bad ?(code = 2) fmt =
+  Format.kasprintf
+    (fun m ->
+      Format.eprintf "fastrule_cli: %s@." m;
+      exit code)
+    fmt
+
+(* Write one JSON document to [path] and say what was written. *)
+let write_json ~what path v =
+  let oc = open_out path in
+  output_string oc (Telemetry.Json.to_string v);
+  output_char oc '\n';
+  close_out oc;
+  Format.printf "wrote %s to %s@." what path
+
 (* --- stats ----------------------------------------------------------- *)
 
 let stats_cmd =
@@ -87,15 +103,9 @@ let generate_cmd =
 
 let algo_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "naive" -> Ok Firmware.Naive
-    | "ruletris" -> Ok Firmware.Ruletris
-    | "fr-o" -> Ok (Firmware.FR_O Store.Bit_backend)
-    | "fr-o/array" -> Ok (Firmware.FR_O Store.Array_backend)
-    | "fr-o/od" | "fr-o/on-demand" -> Ok (Firmware.FR_O Store.On_demand)
-    | "fr-sd" -> Ok (Firmware.FR_SD Store.Bit_backend)
-    | "fr-sb" -> Ok (Firmware.FR_SB Store.Bit_backend)
-    | _ -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
+    match Firmware.algo_kind_of_string s with
+    | Some k -> Ok k
+    | None -> Error (`Msg (Printf.sprintf "unknown scheduler %S" s))
   in
   Arg.conv
     (parse, fun ppf k -> Format.pp_print_string ppf (Firmware.algo_kind_name k))
@@ -223,18 +233,15 @@ let pp_latency_line service =
      else "inf (off/warming)")
 
 let ctrl_json path service ~scenario ~seed =
-  let oc = open_out path in
-  output_string oc
-    (Telemetry.Json.to_string (Ctrl.to_json ~scenario ~seed service));
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "@.wrote per-shard telemetry to %s@." path
+  Format.printf "@.";
+  write_json ~what:"per-shard telemetry" path
+    (Ctrl.to_json ~scenario ~seed service)
 
 let ctrl_cmd =
   let run kind n seed shards capacity ops batch policy refresh_every json
       journal do_recover faults crash_after crash_mid allow_failures failover
       slow_call slow_factor chaos_n domains dead_frac =
-    let bad fmt = Format.kasprintf (fun m -> Format.eprintf "fastrule_cli: %s@." m; exit 1) fmt in
+    let bad fmt = bad ~code:1 fmt in
     if shards < 1 then bad "--shards must be >= 1 (got %d)" shards;
     if capacity < 1 then bad "--capacity must be >= 1 (got %d)" capacity;
     if dead_frac < 0.0 || dead_frac >= 1.0 then
@@ -755,13 +762,6 @@ let conform_cmd =
   let run kind n seed events pool capacity probes fault fault_max break_ record
       save replay shrink out crash_at crash_mid crash_batch failover_shard
       fo_shards degraded_frac strict domains capture =
-    let bad fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.eprintf "fastrule_cli: %s@." m;
-          exit 2)
-        fmt
-    in
     if fault < 0. || fault > 1. then bad "--fault must be in [0,1] (got %g)" fault;
     if crash_batch < 1 then bad "--crash-batch must be >= 1 (got %d)" crash_batch;
     (match domains with
@@ -1104,25 +1104,9 @@ let cache_policy_conv =
   Arg.conv
     (parse, fun ppf k -> Format.pp_print_string ppf (Cache_policy.kind_to_string k))
 
-let algo_conv =
-  let parse s =
-    match Firmware.algo_kind_of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg (Printf.sprintf "unknown scheduler %S" s))
-  in
-  Arg.conv
-    (parse, fun ppf k -> Format.pp_print_string ppf (Firmware.algo_kind_name k))
-
 let cache_cmd =
   let run kind n seed flows skew accesses slots shards flush_every policy algo
       oracle no_check probes domains json =
-    let bad fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.eprintf "fastrule_cli: %s@." m;
-          exit 2)
-        fmt
-    in
     if n < 1 then bad "-n must be >= 1 (got %d)" n;
     if flows < 1 then bad "--flows must be >= 1 (got %d)" flows;
     if skew < 0.0 || not (Float.is_finite skew) then
@@ -1174,16 +1158,11 @@ let cache_cmd =
           last.Cache_driver.admit_skipped last.Cache_driver.repairs
           last.Cache_driver.rounds
     | [] -> ());
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Telemetry.Json.to_string
-             (Telemetry.Json.List (List.map Cache_driver.result_json results)));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "wrote cache results to %s@." path);
+    Option.iter
+      (fun path ->
+        write_json ~what:"cache results" path
+          (Telemetry.Json.List (List.map Cache_driver.result_json results)))
+      json;
     let dirty =
       List.exists
         (fun (r : Cache_driver.result) -> r.Cache_driver.divergences <> [])
@@ -1296,13 +1275,6 @@ let cache_cmd =
 let plane_cmd =
   let run kind n seed flows skew ops shards capacity batch readers min_lookups
       rebuild_every algo sweep no_oracle events probes max_p99_ms domains json =
-    let bad fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.eprintf "fastrule_cli: %s@." m;
-          exit 2)
-        fmt
-    in
     if n < 1 then bad "-n must be >= 1 (got %d)" n;
     if flows < 1 then bad "--flows must be >= 1 (got %d)" flows;
     if skew < 0.0 || not (Float.is_finite skew) then
@@ -1388,16 +1360,11 @@ let plane_cmd =
         else not (Oracle.clean report)
       end
     in
-    (match json with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc
-          (Telemetry.Json.to_string
-             (Telemetry.Json.List (List.map Plane.result_json results)));
-        output_char oc '\n';
-        close_out oc;
-        Format.printf "wrote plane results to %s@." path);
+    Option.iter
+      (fun path ->
+        write_json ~what:"plane results" path
+          (Telemetry.Json.List (List.map Plane.result_json results)))
+      json;
     let dirty = disagreements > 0 || p99_breach <> None || oracle_dirty in
     Format.printf "plane: %d storm leg%s, %s@." (List.length results)
       (if List.length results = 1 then "" else "s")
@@ -1534,13 +1501,6 @@ let net_cmd =
   let run shape nodes flows reroute withdraw introduce waypoints seed batch
       shards capacity algo oracle chaos cases fault_specs abort_at hold
       deadline no_check samples domains journal json =
-    let bad fmt =
-      Format.kasprintf
-        (fun m ->
-          Format.eprintf "fastrule_cli: %s@." m;
-          exit 2)
-        fmt
-    in
     if flows < 1 then bad "--flows must be >= 1 (got %d)" flows;
     if batch < 1 then bad "--batch must be >= 1 (got %d)" batch;
     if shards < 1 then bad "--shards must be >= 1 (got %d)" shards;
@@ -1575,50 +1535,45 @@ let net_cmd =
           ()
       in
       Oracle.pp_chaos_report Format.std_formatter r;
-      (match json with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc
-            (Telemetry.Json.to_string
-               (Telemetry.Json.Obj
-                  [
-                    ("mode", Telemetry.Json.Str "chaos");
-                    ("seed", Telemetry.Json.Int seed);
-                    ("cases", Telemetry.Json.Int cases);
-                    ("shards", Telemetry.Json.Int shards);
-                    ("capacity", Telemetry.Json.Int capacity);
-                    ( "domains",
-                      Telemetry.Json.Int
-                        (match domains with
-                        | Some d -> d
-                        | None -> Ctrl.default_domains ()) );
-                    ( "outcomes",
-                      Telemetry.Json.Obj
-                        (List.map
-                           (fun (k, n) -> (k, Telemetry.Json.Int n))
-                           r.Oracle.chaos_outcomes) );
-                    ( "fingerprint",
-                      Telemetry.Json.Str (Oracle.chaos_fingerprint r) );
-                    ( "divergences",
-                      Telemetry.Json.List
-                        (List.map
-                           (fun (d : Oracle.divergence) ->
-                             Telemetry.Json.Obj
-                               [
-                                 ("event", Telemetry.Json.Int d.Oracle.event);
-                                 ( "scheduler",
-                                   Telemetry.Json.Str d.Oracle.scheduler );
-                                 ( "detail",
-                                   Telemetry.Json.Str d.Oracle.detail );
-                               ])
-                           r.Oracle.chaos_divergences) );
-                    ("clean", Telemetry.Json.Bool (Oracle.chaos_clean r));
-                    ("wall_ms", Telemetry.Json.Float r.Oracle.chaos_wall_ms);
-                  ]));
-          output_char oc '\n';
-          close_out oc;
-          Format.printf "wrote chaos results to %s@." path);
+      Option.iter
+        (fun path ->
+          write_json ~what:"chaos results" path
+            (Telemetry.Json.Obj
+              [
+                ("mode", Telemetry.Json.Str "chaos");
+                ("seed", Telemetry.Json.Int seed);
+                ("cases", Telemetry.Json.Int cases);
+                ("shards", Telemetry.Json.Int shards);
+                ("capacity", Telemetry.Json.Int capacity);
+                ( "domains",
+                  Telemetry.Json.Int
+                    (match domains with
+                    | Some d -> d
+                    | None -> Ctrl.default_domains ()) );
+                ( "outcomes",
+                  Telemetry.Json.Obj
+                    (List.map
+                       (fun (k, n) -> (k, Telemetry.Json.Int n))
+                       r.Oracle.chaos_outcomes) );
+                ( "fingerprint",
+                  Telemetry.Json.Str (Oracle.chaos_fingerprint r) );
+                ( "divergences",
+                  Telemetry.Json.List
+                    (List.map
+                       (fun (d : Oracle.divergence) ->
+                         Telemetry.Json.Obj
+                           [
+                             ("event", Telemetry.Json.Int d.Oracle.event);
+                             ( "scheduler",
+                               Telemetry.Json.Str d.Oracle.scheduler );
+                             ( "detail",
+                               Telemetry.Json.Str d.Oracle.detail );
+                           ])
+                       r.Oracle.chaos_divergences) );
+                ("clean", Telemetry.Json.Bool (Oracle.chaos_clean r));
+                ("wall_ms", Telemetry.Json.Float r.Oracle.chaos_wall_ms);
+              ]))
+        json;
       exit (if Oracle.chaos_clean r then 0 else 1)
     end;
     let topo =
@@ -1654,14 +1609,9 @@ let net_cmd =
       ]
     in
     let dump obj =
-      match json with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Telemetry.Json.to_string (Telemetry.Json.Obj obj));
-          output_char oc '\n';
-          close_out oc;
-          Format.printf "wrote net results to %s@." path
+      Option.iter
+        (fun path -> write_json ~what:"net results" path (Telemetry.Json.Obj obj))
+        json
     in
     if oracle then begin
       let r = Oracle.run_net ~batch ~samples ~shards ~capacity ?domains sc in

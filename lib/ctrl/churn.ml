@@ -3,6 +3,7 @@ module Rule = Fr_tern.Rule
 module Dataset = Fr_workload.Dataset
 module Agent = Fr_switch.Agent
 module Measure = Fr_switch.Measure
+module Hist = Fr_switch.Hist
 
 type spec = {
   kind : Dataset.kind;
@@ -150,7 +151,7 @@ let run ?policy ?algo ?verify ?refresh_every ?resil ?journal ?domains
     live := List.filter (fun x -> x <> id) !live;
     decr n_live
   in
-  let wall = Measure.Series.create () in
+  let wall = Hist.create () in
   let flushes = ref 0 in
   let chaos_pending = ref chaos in
   let flush () =
@@ -168,7 +169,7 @@ let run ?policy ?algo ?verify ?refresh_every ?resil ?journal ?domains
     chaos_pending := rest;
     List.iter (apply_chaos_event service ~seed:spec.seed) due;
     let report = Service.flush service in
-    Measure.Series.add wall report.Service.wall_ms;
+    Hist.record_ms wall report.Service.wall_ms;
     incr flushes
   in
   (try
@@ -213,5 +214,5 @@ let run ?policy ?algo ?verify ?refresh_every ?resil ?journal ?domains
     diverted = sum Telemetry.diverted;
     rebalanced = sum Telemetry.rebalanced;
     restarts = sum Telemetry.restarts;
-    flush_wall_ms = Measure.Series.summary wall;
+    flush_wall_ms = Hist.summary ~scale:1e6 wall;
   }

@@ -451,10 +451,10 @@ let adaptive_min_samples = 8
 
 (* The per-op bound this drain is judged against.  An explicit
    [slow_drain_ms] always wins; otherwise, with [slow_factor > 0], the
-   bound is the shard's *own* p99 per-op hardware time scaled by the
-   factor — derived from history only (the current drain is not yet in
-   the series), so the judgment is identical whether shards drain
-   sequentially or in parallel. *)
+   bound is the shard's *own* p99 per-op hardware time (O(buckets) to
+   read) scaled by the factor — derived from history only (the current
+   drain is not yet recorded), so the judgment is identical whether
+   shards drain sequentially or in parallel. *)
 let effective_slow_ms t i =
   if t.resil.slow_drain_ms < infinity then t.resil.slow_drain_ms
   else if t.resil.slow_factor > 0.0 then begin

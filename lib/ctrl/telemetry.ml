@@ -1,4 +1,5 @@
 module Measure = Fr_switch.Measure
+module Hist = Fr_switch.Hist
 
 module Json = struct
   type v =
@@ -114,17 +115,15 @@ type t = {
   mutable cache_admit_skips : int;  (* admissions refused (no cold victims) *)
   mutable cache_repairs : int;  (* flush-failure repair passes *)
   mutable cache_flushes : int;  (* maintenance rounds flushed *)
-  fw_series : Measure.Series.t;  (* per drain *)
-  hw_series : Measure.Series.t;
-  wall_series : Measure.Series.t;
-  ops_series : Measure.Series.t;
-  hw_op_series : Measure.Series.t;
-      (* modelled hardware ms per TCAM op, one sample per non-empty drain
-         — the latency histogram the adaptive slow-call threshold reads *)
-  closure_series : Measure.Series.t;
-      (* admission-closure sizes, one sample per admission *)
-  churn_series : Measure.Series.t;
-      (* inserts + deletes per cache maintenance flush *)
+  fw_hist : Hist.t;  (* per drain; times in ns *)
+  hw_hist : Hist.t;
+  wall_hist : Hist.t;
+  ops_hist : Hist.t;
+  hw_op_hist : Hist.t;
+      (* modelled hardware time per TCAM op, one sample per non-empty
+         drain — the histogram the adaptive slow-call threshold reads *)
+  closure_hist : Hist.t;  (* admission-closure sizes, one per admission *)
+  churn_hist : Hist.t;  (* inserts + deletes per cache maintenance flush *)
 }
 
 let create () =
@@ -163,13 +162,13 @@ let create () =
     cache_admit_skips = 0;
     cache_repairs = 0;
     cache_flushes = 0;
-    fw_series = Measure.Series.create ();
-    hw_series = Measure.Series.create ();
-    wall_series = Measure.Series.create ();
-    ops_series = Measure.Series.create ();
-    hw_op_series = Measure.Series.create ();
-    closure_series = Measure.Series.create ();
-    churn_series = Measure.Series.create ();
+    fw_hist = Hist.create ();
+    hw_hist = Hist.create ();
+    wall_hist = Hist.create ();
+    ops_hist = Hist.create ();
+    hw_op_hist = Hist.create ();
+    closure_hist = Hist.create ();
+    churn_hist = Hist.create ();
   }
 
 let record_submitted t = t.submitted <- t.submitted + 1
@@ -200,7 +199,7 @@ let record_cache_miss t = t.cache_misses <- t.cache_misses + 1
 
 let record_cache_admission t ~rules =
   t.cache_admitted <- t.cache_admitted + rules;
-  Measure.Series.add t.closure_series (float_of_int rules)
+  Hist.record t.closure_hist rules
 
 let record_cache_eviction t ~rules = t.cache_evicted <- t.cache_evicted + rules
 let record_cache_admit_skip t = t.cache_admit_skips <- t.cache_admit_skips + 1
@@ -208,7 +207,7 @@ let record_cache_repair t = t.cache_repairs <- t.cache_repairs + 1
 
 let record_cache_flush t ~inserts ~deletes =
   t.cache_flushes <- t.cache_flushes + 1;
-  Measure.Series.add t.churn_series (float_of_int (inserts + deletes))
+  Hist.record t.churn_hist (inserts + deletes)
 let record_rejected t n = t.rejected <- t.rejected + n
 
 let record_drain t ~queue_depth ~applied ~failed ~firmware_ms ~hardware_ms
@@ -221,12 +220,12 @@ let record_drain t ~queue_depth ~applied ~failed ~firmware_ms ~hardware_ms
   t.fw_ms <- t.fw_ms +. firmware_ms;
   t.hw_ms <- t.hw_ms +. hardware_ms;
   if queue_depth > t.depth_max then t.depth_max <- queue_depth;
-  Measure.Series.add t.fw_series firmware_ms;
-  Measure.Series.add t.hw_series hardware_ms;
-  Measure.Series.add t.wall_series wall_ms;
-  Measure.Series.add t.ops_series (float_of_int tcam_ops);
+  Hist.record_ms t.fw_hist firmware_ms;
+  Hist.record_ms t.hw_hist hardware_ms;
+  Hist.record_ms t.wall_hist wall_ms;
+  Hist.record t.ops_hist tcam_ops;
   if tcam_ops > 0 then
-    Measure.Series.add t.hw_op_series (hardware_ms /. float_of_int tcam_ops)
+    Hist.record_ms t.hw_op_hist (hardware_ms /. float_of_int tcam_ops)
 
 let submitted t = t.submitted
 let coalesced t = t.coalesced
@@ -255,11 +254,11 @@ let dead_rows t = t.dead_rows
 let degraded_diverted t = t.degraded_diverted
 let heal_probes t = t.heal_probes
 let rows_recovered t = t.rows_recovered
-let firmware_ms t = Measure.Series.summary t.fw_series
-let hardware_ms t = Measure.Series.summary t.hw_series
-let wall_ms t = Measure.Series.summary t.wall_series
-let drain_ops t = Measure.Series.summary t.ops_series
-let hw_per_op_ms t = Measure.Series.summary t.hw_op_series
+let firmware_ms t = Hist.summary ~scale:1e6 t.fw_hist
+let hardware_ms t = Hist.summary ~scale:1e6 t.hw_hist
+let wall_ms t = Hist.summary ~scale:1e6 t.wall_hist
+let drain_ops t = Hist.summary t.ops_hist
+let hw_per_op_ms t = Hist.summary ~scale:1e6 t.hw_op_hist
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
 let cache_admitted t = t.cache_admitted
@@ -272,57 +271,20 @@ let cache_hit_rate t =
   let total = t.cache_hits + t.cache_misses in
   if total = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int total
 
-let cache_closure t = Measure.Series.summary t.closure_series
-let cache_churn t = Measure.Series.summary t.churn_series
+let cache_closure t = Hist.summary t.closure_hist
+let cache_churn t = Hist.summary t.churn_hist
 
 type histogram = { bounds : float array; counts : int array }
 
-(* Log2-spaced bucket bounds from just under the smallest positive sample
-   up to the largest; every sample <= bounds.(i) for some i except the
-   overflow bucket. *)
-let histogram ?(buckets = 12) samples =
-  let positive = Array.of_list (List.filter (fun x -> x > 0.0) (Array.to_list samples)) in
-  if Array.length positive = 0 then
-    { bounds = [| 1.0 |]; counts = [| Array.length samples; 0 |] }
-  else begin
-    let lo = Array.fold_left min positive.(0) positive in
-    let hi = Array.fold_left max positive.(0) positive in
-    let lo_exp = int_of_float (Float.floor (Float.log2 lo)) in
-    let hi_exp = int_of_float (Float.ceil (Float.log2 hi)) in
-    let n = min buckets (max 1 (hi_exp - lo_exp + 1)) in
-    (* When the range exceeds the bucket budget, widen the step so the
-       top bound still covers [hi]. *)
-    let step =
-      float_of_int (max 1 ((hi_exp - lo_exp + n) / n))
-    in
-    let bounds =
-      Array.init n (fun i ->
-          Float.pow 2.0 (float_of_int lo_exp +. (step *. float_of_int (i + 1))))
-    in
-    let counts = Array.make (n + 1) 0 in
-    Array.iter
-      (fun x ->
-        let rec place i =
-          if i >= n then counts.(n) <- counts.(n) + 1
-          else if x <= bounds.(i) then counts.(i) <- counts.(i) + 1
-          else place (i + 1)
-        in
-        place 0)
-      samples;
-    { bounds; counts }
-  end
+let of_hist ~scale h =
+  let bs = Array.of_list (Hist.buckets h) in
+  { bounds = Array.map (fun (upper, _) -> upper /. scale) bs; counts = Array.map snd bs }
 
-let latency_histogram t = histogram (Measure.Series.to_array t.wall_series)
-let moves_histogram t = histogram (Measure.Series.to_array t.ops_series)
+let latency_histogram t = of_hist ~scale:1e6 t.wall_hist
+let moves_histogram t = of_hist ~scale:1.0 t.ops_hist
 
 let pp_histogram ppf { bounds; counts } =
-  Array.iteri
-    (fun i c ->
-      if c > 0 then
-        if i < Array.length bounds then
-          Format.fprintf ppf "    <= %8.3f  %d@." bounds.(i) c
-        else Format.fprintf ppf "     > %8.3f  %d@." bounds.(Array.length bounds - 1) c)
-    counts
+  Array.iteri (fun i c -> Format.fprintf ppf "    <= %8.4g  %d@." bounds.(i) c) counts
 
 let pp ppf t =
   Format.fprintf ppf
@@ -371,11 +333,8 @@ let pp ppf t =
     (latency_histogram t)
 
 let histogram_json { bounds; counts } =
-  Json.Obj
-    [
-      ("bounds", Json.List (Array.to_list (Array.map (fun b -> Json.Float b) bounds)));
-      ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) counts)));
-    ]
+  let list f a = Json.List (Array.to_list (Array.map f a)) in
+  Json.Obj [ ("bounds", list (fun b -> Json.Float b) bounds); ("counts", list (fun c -> Json.Int c) counts) ]
 
 let to_json t =
   Json.Obj

@@ -6,9 +6,11 @@
     scheduler, how long each drain spent in the two clocks the paper
     separates (firmware computation vs modelled TCAM write time), how
     many hardware ops and movements each drain cost, and how deep the
-    queue ran.  Counters are plain monotonic ints; per-drain samples are
-    kept whole ({!Fr_switch.Measure.Series}) so percentiles are exact,
-    with log-bucketed histograms derived on demand for the dumps. *)
+    queue ran.  Counters are plain monotonic ints; per-drain samples go
+    into fixed-size log-bucketed {!Fr_switch.Hist}s, so a [t] stays the
+    same size for the life of a run and every summary or histogram reads
+    in O(buckets).  Counts, totals, means, mins and maxes are exact;
+    percentiles are within one [2^(1/8)] bucket of the exact value. *)
 
 (** A minimal JSON value — enough for machine-readable dumps without an
     external dependency.  Serialisation is deterministic (fields print in
@@ -203,11 +205,9 @@ val hw_per_op_ms : t -> Fr_switch.Measure.summary
     stream. *)
 
 type histogram = { bounds : float array; counts : int array }
-(** [counts.(i)] samples fall in [(bounds.(i-1), bounds.(i)]] (the first
-    bucket is [<= bounds.(0)], the last unbounded above). *)
-
-val histogram : ?buckets:int -> float array -> histogram
-(** Log2-spaced buckets spanning the samples' range. *)
+(** The non-empty buckets of the underlying {!Fr_switch.Hist}, ascending:
+    [counts.(i)] samples fall in [\[bounds.(i-1), bounds.(i))] (the
+    first bucket is [< bounds.(0)]). *)
 
 val latency_histogram : t -> histogram
 (** Histogram of per-drain wall milliseconds. *)

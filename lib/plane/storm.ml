@@ -5,6 +5,7 @@ module Zipf = Fr_workload.Zipf
 module Firmware = Fr_switch.Firmware
 module Agent = Fr_switch.Agent
 module Measure = Fr_switch.Measure
+module Hist = Fr_switch.Hist
 module Ctrl = Fr_ctrl.Service
 module Shard = Fr_ctrl.Shard
 module Churn = Fr_ctrl.Churn
@@ -245,9 +246,14 @@ let run_all ?domains spec =
     (fun algo -> run ~algo ?domains spec)
     (Firmware.standard_algos Fr_sched.Store.Bit_backend)
 
+(* Below 10k samples a p999 is little more than the max: not printed. *)
 let pp_lat ppf (l : lat) =
-  Format.fprintf ppf "p50 %.0f  p99 %.0f  p999 %.0f ns (%d samples)" l.p50
-    l.p99 l.p999 l.samples
+  if l.samples >= 10_000 then
+    Format.fprintf ppf "p50 %.0f  p99 %.0f  p999 %.0f ns (%d samples)" l.p50
+      l.p99 l.p999 l.samples
+  else
+    Format.fprintf ppf "p50 %.0f  p99 %.0f ns (%d samples)  p999 n/a (<10k samples)"
+      l.p50 l.p99 l.samples
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -10,7 +10,7 @@
     block them and they never see a half-applied cascade step.
 
     Each reader times every lookup with the monotonic clock into private
-    log-bucketed {!Hist}s — one for the TCAM-emulation path
+    log-bucketed {!Fr_switch.Hist}s — one for the TCAM-emulation path
     ([Image.lookup]) and one for the {!Backend} software engine, which is
     recompiled from a fresh snapshot every [rebuild_every] lookups and
     cross-validated on every packet against [Image.lookup] over the
@@ -89,6 +89,8 @@ val run_all : ?domains:int -> spec -> result list
 (** {!run} once per standard scheduler (BIT back-end), same spec. *)
 
 val pp_result : Format.formatter -> result -> unit
+(** Prints each path's p999 only when it has at least 10,000 samples;
+    otherwise [p999 n/a (<10k samples)]. *)
 
 val result_json : result -> Fr_ctrl.Telemetry.Json.v
 (** Deterministic fields at the top level (spec echo, seed, domains,

@@ -1,4 +1,8 @@
-(** Wall-clock measurement and summary statistics for experiment runs. *)
+(** Wall-clock measurement and summary statistics for experiment runs.
+
+    {!summarize} and {!Series} sort every sample for exact nearest-rank
+    percentiles, for bounded offline runs ({!Firmware}, {!Queue_sim}, the
+    paper experiments); services meter into a fixed-size {!Hist}. *)
 
 val now_ms : unit -> float
 (** Monotonic-enough wall clock in milliseconds (gettimeofday-based; the
@@ -26,7 +30,7 @@ val summarize : float array -> summary
 val pp_summary : Format.formatter -> summary -> unit
 
 module Series : sig
-  (** A growable series of float samples. *)
+  (** A growable series of float samples, kept whole. *)
 
   type t
 

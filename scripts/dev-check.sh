@@ -139,6 +139,16 @@ J4=$(mktemp -d)
 diff -r "$J1" "$J4" || { echo "parallel flush: journals diverged between --domains 1 and 4"; exit 1; }
 rm -rf "$J1" "$J4"
 
+echo "== adaptive slow-call threshold equivalence (--slow-factor 3, 1 vs 4 domains) =="
+J1=$(mktemp -d)
+J4=$(mktemp -d)
+"$CLI" ctrl -k acl4 -s 4 -n 400 -u 2000 -b 32 --failover --slow-factor 3 \
+  --chaos 6 --allow-failures --journal "$J1" --domains 1 >/dev/null
+"$CLI" ctrl -k acl4 -s 4 -n 400 -u 2000 -b 32 --failover --slow-factor 3 \
+  --chaos 6 --allow-failures --journal "$J4" --domains 4 >/dev/null
+diff -r "$J1" "$J4" || { echo "adaptive threshold: journals diverged between --domains 1 and 4"; exit 1; }
+rm -rf "$J1" "$J4"
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt =="
   dune build @fmt

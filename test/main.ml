@@ -16,5 +16,5 @@ let () =
    @ Test_resil.suite @ Test_failover.suite @ Test_exec.suite
    @ Test_conform.suite @ Test_deadmap.suite @ Test_degraded.suite
    @ Test_zipf.suite @ Test_cache.suite @ Test_net.suite
-   @ Test_image.suite @ Test_plane.suite
+   @ Test_image.suite @ Test_plane.suite @ Test_hist.suite
    @ Test_props.suite)
